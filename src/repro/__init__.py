@@ -45,6 +45,7 @@ from repro.base import (
     StreamRunner,
 )
 from repro.parallel import (
+    FactoryPicklingError,
     PersistentShardExecutor,
     ShardedRunReport,
     ShardedStreamRunner,
@@ -98,6 +99,7 @@ __all__ = [
     "ShardTiming",
     "PersistentShardExecutor",
     "ShardExecutionError",
+    "FactoryPicklingError",
     # core
     "Parameters",
     "UniverseReducer",

@@ -74,11 +74,6 @@ class SmallSetRun:
         self._elem_memo: dict[int, bool] = {}
         self._stride = self.element_sampler.n
 
-    def iter_edges(self) -> list[tuple[int, int]]:
-        """Stored edges decoded back to ``(set_id, element)`` pairs."""
-        stride = self._stride
-        return [(edge // stride, edge % stride) for edge in self.edges]
-
     def feed_batch(self, set_ids, elements) -> None:
         """Vectorised :meth:`feed` over parallel arrays."""
         if not self.alive:
@@ -336,7 +331,9 @@ class SmallSet(StreamingAlgorithm):
         """Greedy-solve a run's stored sub-instance; universe-scaled value."""
         if not run.alive or not run.edges:
             return None
-        system = SetSystem.from_edges(run.iter_edges(), n=self.params.n)
+        packed = np.fromiter(run.edges, dtype=np.int64, count=len(run.edges))
+        set_ids, elements = np.divmod(packed, run._stride)
+        system = SetSystem.from_arrays(set_ids, elements, n=self.params.n)
         result = lazy_greedy(system, self.cover_size)
         if result.coverage < self.min_support:
             return None

@@ -164,6 +164,67 @@ class SetSystem:
         return cls(sets, n=n)
 
     @classmethod
+    def from_arrays(
+        cls,
+        set_ids,
+        elements,
+        m: int | None = None,
+        n: int | None = None,
+    ) -> "SetSystem":
+        """Build a system from parallel ``set_id`` / ``element`` arrays.
+
+        The array form of :meth:`from_edges`: the same sets, ``m`` and
+        ``n``, and the same ``ValueError``s, checked in this order --
+        negative set id, ``m`` too small, negative element, ``n`` too
+        small.  Edges are grouped by one sort on the set id and
+        ``searchsorted`` boundaries, and each set is one ``frozenset``
+        over a slice, so no per-edge Python work remains beyond the
+        ``frozenset`` build itself.
+        """
+        set_ids = np.asarray(set_ids, dtype=np.int64)
+        elements = np.asarray(elements, dtype=np.int64)
+        if len(set_ids) != len(elements):
+            raise ValueError(
+                f"set_ids and elements differ in length: "
+                f"{len(set_ids)} != {len(elements)}"
+            )
+        negative = np.flatnonzero(set_ids < 0)
+        if len(negative):
+            raise ValueError(
+                f"set ids must be non-negative, got {set_ids[negative[0]]}"
+            )
+        max_set = int(set_ids.max()) if len(set_ids) else -1
+        if m is None:
+            m = max_set + 1
+        elif m < max_set + 1:
+            raise ValueError(
+                f"m={m} is smaller than the largest set id + 1 ({max_set + 1})"
+            )
+        negative = np.flatnonzero(elements < 0)
+        if len(negative):
+            raise ValueError(
+                f"elements must be non-negative, got {elements[negative[0]]}"
+            )
+        inferred = int(elements.max()) + 1 if len(elements) else 0
+        if n is None:
+            n = inferred
+        elif n < inferred:
+            raise ValueError(
+                f"n={n} is smaller than the largest element + 1 ({inferred})"
+            )
+        # Order within a set is irrelevant (each becomes a frozenset),
+        # so the faster unstable sort suffices.
+        order = np.argsort(set_ids)
+        bounds = np.searchsorted(set_ids[order], np.arange(m + 1)).tolist()
+        grouped = elements[order].tolist()
+        system = cls.__new__(cls)
+        system._sets = [
+            frozenset(grouped[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        ]
+        system.n = int(n)
+        return system
+
+    @classmethod
     def from_bipartite_graph(
         cls, adjacency: Sequence[Sequence[int]], n: int | None = None
     ) -> "SetSystem":

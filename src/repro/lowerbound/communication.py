@@ -92,7 +92,10 @@ class L2Distinguisher(StreamingAlgorithm):
         self.finalize()
         if not self._candidates:
             return 0.0
-        return max(self._sketch.query(j) for j in self._candidates)
+        candidates = np.fromiter(
+            self._candidates, dtype=np.int64, count=len(self._candidates)
+        )
+        return float(self._sketch.query_many(candidates).max())
 
     def decide_no_case(self) -> bool:
         """Finalise; ``True`` when a common item is detected."""

@@ -2,7 +2,9 @@
 
 Two executors share one data plane (shard descriptors over shared
 memory / mmap, flat ``.npz`` state blobs back, stream-order merge) and
-one correctness contract (bit-identical to the scalar single pass):
+one correctness contract (the scalar single pass's answers and
+``space_words``; state bytes too unless a scheduled heavy-hitter prune
+evicts):
 
 * :class:`~repro.parallel.sharded.ShardedStreamRunner` -- a pool per
   ``run`` call.  Simple, stateless between calls, and the historical
@@ -24,6 +26,7 @@ from repro.parallel.persistent import (
     ShardExecutionError,
 )
 from repro.parallel.sharded import (
+    FactoryPicklingError,
     ShardTiming,
     ShardedRunReport,
     ShardedStreamRunner,
@@ -33,6 +36,7 @@ from repro.parallel.sharded import (
 )
 
 __all__ = [
+    "FactoryPicklingError",
     "ShardTiming",
     "ShardedRunReport",
     "ShardedStreamRunner",

@@ -20,10 +20,13 @@ the single pass).
   their shard into the resident algorithm.
 * **State ships once, on collect.**  ``collect()`` asks every worker
   for its flat ``.npz`` state blob, merges the shards left-to-right in
-  stream order (bit-identical to the single pass, same contract as the
-  per-run runner), and resets each worker to its pristine snapshot so
+  stream order, and resets each worker to its pristine snapshot so
   the next submission starts from factory-fresh state without paying
-  reconstruction.
+  reconstruction.  The merged answers and ``space_words`` equal the
+  single pass's (same contract as the per-run runner); the state bytes
+  are equal only when no scheduled ``F2HeavyHitter`` prune evicts, since
+  the merge re-prunes the combined candidate pool once rather than at
+  every window.
 
 Lifecycle management the per-run pool never needed:
 
@@ -73,6 +76,7 @@ from repro.parallel.sharded import (
     ShardedRunReport,
     _resolve_shard,
     _stream_columns,
+    _check_factory_picklable,
     compute_shard_bounds,
     dispatch_payload_bytes,
     resolve_dispatch,
@@ -388,6 +392,7 @@ class PersistentShardExecutor:
             self._await_ready(set(fresh))
 
     def _spawn(self, index: int) -> _WorkerHandle:
+        _check_factory_picklable(self.factory)
         tasks = self._ctx.Queue()
         process = self._ctx.Process(
             target=_persistent_worker,
@@ -585,7 +590,8 @@ class PersistentShardExecutor:
         """Wait for the outstanding submission; merge and report.
 
         Returns ``(algo, report)``: the coordinator's merged algorithm
-        (bit-identical to a single pass over the submitted stream) and
+        (the single pass's answers and ``space_words``; see the module
+        docstring for when the state bytes differ) and
         a :class:`~repro.parallel.sharded.ShardedRunReport` with
         ``executor="persistent"``.  Always releases the submission's
         shared memory, on success and on every failure path.

@@ -63,6 +63,7 @@ from repro.engine.profile import PROFILER
 from repro.sketch.serialize import dumps_state, loads_state
 
 __all__ = [
+    "FactoryPicklingError",
     "ShardTiming",
     "ShardedRunReport",
     "ShardedStreamRunner",
@@ -70,6 +71,29 @@ __all__ = [
     "resolve_dispatch",
     "dispatch_payload_bytes",
 ]
+
+
+class FactoryPicklingError(TypeError):
+    """A shard factory that worker processes cannot receive.
+
+    Raised before any worker is spawned, so a lambda or a locally
+    defined factory fails at the API boundary with the fix in the
+    message instead of as a traceback from inside ``multiprocessing``.
+    """
+
+
+def _check_factory_picklable(factory) -> None:
+    """Raise :class:`FactoryPicklingError` unless ``factory`` pickles."""
+    try:
+        pickle.dumps(factory)
+    except Exception as exc:  # pickle raises several unrelated types
+        raise FactoryPicklingError(
+            f"the factory {factory!r} cannot be pickled for worker "
+            f"processes ({type(exc).__name__}: {exc}); pass a "
+            "module-level callable instead, e.g. functools.partial("
+            "EstimateMaxCover, m=..., n=..., k=..., alpha=..., seed=...), "
+            "or use backend='serial'"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -431,6 +455,9 @@ class ShardedStreamRunner:
                 fallback="gpu_single_pass" if self._auto_gpu else "single_pass",
             )
             return algo, report
+        pooled = self.backend == "process" and self.workers > 1
+        if pooled:
+            _check_factory_picklable(factory)
         bounds = self.shard_bounds(total, boundaries)
         dispatch = self._resolve_dispatch(stream)
 
@@ -462,7 +489,7 @@ class ShardedStreamRunner:
                 (i, factory, source, self.chunk_size, self.array_backend.name)
                 for i, source in enumerate(sources)
             ]
-            if self.backend == "process" and self.workers > 1:
+            if pooled:
                 methods = multiprocessing.get_all_start_methods()
                 method = "fork" if "fork" in methods else None
                 ctx = multiprocessing.get_context(method)

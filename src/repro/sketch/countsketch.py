@@ -196,7 +196,10 @@ class CountSketch(StreamingAlgorithm):
         self._scatter(buckets, signs, sums)
 
     def query(self, item: int) -> float:
-        """Median-of-rows estimate of coordinate ``item``'s frequency."""
+        """Median-of-rows estimate of coordinate ``item``'s frequency.
+
+        The scalar reference for :meth:`query_many`.
+        """
         item = int(item)
         estimates = [
             self._sign_hashes[row](item)
@@ -204,6 +207,25 @@ class CountSketch(StreamingAlgorithm):
             for row in range(self.depth)
         ]
         return float(np.median(estimates))
+
+    def query_many(self, items) -> np.ndarray:
+        """:meth:`query` for every item at once, as a float64 array.
+
+        One bank pass hashes every item for every row, the signed
+        counters are gathered as a ``(depth, len(items))`` matrix, and
+        one median over the row axis combines them -- the shape of a
+        whole-table heavy-hitter filter.  Runs on the host, where the
+        table lives; equal element-for-element to ``[query(i) for i in
+        items]`` (same field arithmetic, same int64 counters, same
+        median of one or two middle values).
+        """
+        items = np.asarray(items, dtype=np.int64)
+        if not len(items):
+            return np.empty(0, dtype=np.float64)
+        buckets = self._bucket_bank.eval_many(items, HOST)
+        signs = np.where(self._sign_bank.eval_many(items, HOST) == 1, 1, -1)
+        counters = np.take_along_axis(self._table, buckets, axis=1)
+        return np.median(signs * counters, axis=0)
 
     def f2_estimate(self) -> float:
         """Median over rows of the row's squared norm: an ``F_2`` estimate.
@@ -572,12 +594,14 @@ class F2HeavyHitter(StreamingAlgorithm):
         if f2 <= 0:
             return {}
         threshold = self.slack * np.sqrt(self.phi * f2)
-        result = {}
-        for item in self._candidates:
-            estimate = self._sketch.query(item)
-            if estimate >= threshold:
-                result[item] = estimate
-        return result
+        # One batched query over the pool; the mask keeps the pool's
+        # dict order, which F2Contributing's stable sort relies on.
+        items = np.fromiter(
+            self._candidates, dtype=np.int64, count=len(self._candidates)
+        )
+        estimates = self._sketch.query_many(items)
+        keep = estimates >= threshold
+        return dict(zip(items[keep].tolist(), estimates[keep].tolist()))
 
     def _require_mergeable(self, other: "F2HeavyHitter") -> None:
         if (
@@ -601,11 +625,15 @@ class F2HeavyHitter(StreamingAlgorithm):
         shards merge in stream order.  The combined pool has passed
         ``pool_tokens // prune_period`` scheduled prunes; pruning is a
         no-op on a pool at or below capacity, so one prune at the merged
-        token offset restores the schedule's invariant deterministically
-        (shard count never changes the answer).  Whenever no scheduled
-        prune ever evicts -- the regime the ``O~(1/phi)`` capacity is
-        sized for -- the merged pool is bit-identical to the single
-        pass's.
+        token offset restores the schedule's invariant deterministically.
+        ``space_words`` always equals the single pass's (it charges
+        capacity, not occupancy), and so do the answers on every
+        instance the shard-equivalence suite and the benchmark gate
+        check.  The state bytes are equal only when no scheduled prune
+        evicts -- the regime the ``O~(1/phi)`` capacity is sized for;
+        when one does, the single pass pruned at every window and the
+        merge prunes once, so the two pools can keep different
+        candidates.
         """
         self._sketch.merge(other._sketch)
         for item, count in other._candidates.items():

@@ -17,6 +17,8 @@ Three layers of guarantee, from primitives up to whole runs:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -407,11 +409,11 @@ class TestRunnerPlumbing:
         runner = ShardedStreamRunner(
             workers="auto", chunk_size=256, array_backend="numpy"
         )
-
-        def factory():
-            return EstimateMaxCover(
-                m=system.m, n=system.n, k=4, alpha=3.0, seed=7
-            )
+        # "auto" really shards on a multi-CPU host, so the factory must
+        # pickle for the worker pool.
+        factory = partial(
+            EstimateMaxCover, m=system.m, n=system.n, k=4, alpha=3.0, seed=7
+        )
 
         _algo, report = runner.run(factory, stream)
         assert report.fallback != "gpu_single_pass"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.base import StreamConsumedError
+from repro.engine.plan import EvalPlan
 from repro.sketch.countsketch import CountSketch, F2HeavyHitter
 
 
@@ -78,6 +79,76 @@ class TestCountSketch:
                 cs.update(x)
             errors.append(abs(cs.query(0) - 500))
         assert np.median(errors) < 60
+
+
+def _loaded_sketch(depth, seed=0, lo=0, hi=3000, tokens=4000):
+    cs = CountSketch(width=41, depth=depth, seed=seed)
+    cs.update_batch(
+        np.random.default_rng(seed).integers(lo, hi, tokens).astype(np.int64)
+    )
+    return cs
+
+
+def _assert_matches_scalar(cs, items):
+    batched = cs.query_many(np.asarray(items, dtype=np.int64))
+    assert batched.dtype == np.float64
+    assert batched.tolist() == [cs.query(i) for i in items]
+
+
+class TestQueryMany:
+    """``query_many`` is exactly the scalar ``query``, item by item."""
+
+    @pytest.mark.parametrize("depth", [4, 5])
+    def test_equals_scalar_query(self, depth):
+        cs = _loaded_sketch(depth, seed=depth)
+        # Touched, untouched and repeated items; even depth takes the
+        # mean of the two middle rows, odd depth the middle row.
+        _assert_matches_scalar(cs, list(range(3100)) + [7, 7, 0])
+
+    def test_empty_input(self):
+        cs = _loaded_sketch(5)
+        out = cs.query_many(np.empty(0, dtype=np.int64))
+        assert out.shape == (0,) and out.dtype == np.float64
+        assert cs.query_many([]).shape == (0,)
+
+    @pytest.mark.parametrize("depth", [4, 5])
+    def test_items_above_table_domain(self, depth):
+        base = 1 << 16
+        cs = _loaded_sketch(depth, lo=base, hi=base + 500_000, tokens=3000)
+        items = np.random.default_rng(9).integers(
+            base, base + 500_000, 1000
+        )
+        _assert_matches_scalar(cs, items.tolist() + [(1 << 31) + 5])
+
+    @pytest.mark.parametrize("depth", [4, 5])
+    def test_tabulated_items(self, depth):
+        """Counters scattered through the plan's domain tables."""
+        cs = CountSketch(width=41, depth=depth, seed=3)
+        plan = EvalPlan(500, 10)
+        cs._register_plan(plan, plan.sets)
+        unique = np.arange(0, 500, 3, dtype=np.int64)
+        cs.update_grouped(unique, unique % 7 + 1)
+        assert cs._bucket_tables is not None
+        _assert_matches_scalar(cs, list(range(500)))
+
+    @pytest.mark.parametrize("depth", [4, 5])
+    def test_after_merge(self, depth):
+        merged = _loaded_sketch(depth, seed=11)
+        other = CountSketch(width=41, depth=depth, seed=11)
+        other.update_batch(np.arange(2000, 2600, dtype=np.int64))
+        merged.merge(other)
+        _assert_matches_scalar(merged, list(range(3100)))
+
+    @pytest.mark.parametrize("depth", [4, 5])
+    def test_after_load_state_arrays(self, depth):
+        source = _loaded_sketch(depth, seed=12)
+        restored = CountSketch(width=41, depth=depth, seed=12)
+        restored.load_state_arrays(source.state_arrays())
+        items = list(range(3100))
+        _assert_matches_scalar(restored, items)
+        assert restored.query_many(items).tolist() == (
+            source.query_many(items).tolist()
+        )
 
 
 class TestF2HeavyHitter:

@@ -17,6 +17,8 @@ import pytest
 from repro import (
     EdgeStream,
     EstimateMaxCover,
+    FactoryPicklingError,
+    PersistentShardExecutor,
     ShardedStreamRunner,
     StreamRunner,
     planted_cover,
@@ -257,3 +259,44 @@ class TestSharedMemoryCleanup:
         with pytest.raises(RuntimeError, match="worker construction failed"):
             runner.run(_boom_factory, small_stream)
         assert _shm_segments() <= before
+
+
+class TestUnpicklableFactory:
+    """A factory worker processes cannot receive fails before any spawn."""
+
+    @staticmethod
+    def _local_factory():
+        def factory():
+            return FACTORY()
+
+        return factory
+
+    def test_sharded_runner_names_the_fix(self, small_stream):
+        before = _shm_segments()
+        runner = ShardedStreamRunner(workers=2, backend="process")
+        with pytest.raises(FactoryPicklingError, match="functools.partial"):
+            runner.run(self._local_factory(), small_stream)
+        assert _shm_segments() <= before
+
+    def test_persistent_executor_refuses_before_spawning(self):
+        executor = PersistentShardExecutor(
+            lambda: FACTORY(), workers=2, backend="process"
+        )
+        with pytest.raises(FactoryPicklingError, match="module-level"):
+            executor.start()
+        assert not executor.running
+        executor.close()
+
+    def test_serial_backends_accept_local_factories(
+        self, small_stream, reference
+    ):
+        factory = self._local_factory()
+        algo, _ = ShardedStreamRunner(workers=2, backend="serial").run(
+            factory, small_stream
+        )
+        assert algo.estimate() == reference
+        with PersistentShardExecutor(
+            factory, workers=2, backend="serial"
+        ) as pool:
+            merged, _ = pool.run(small_stream)
+        assert merged.estimate() == reference

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.coverage.setsystem import SetSystem
@@ -106,6 +107,74 @@ class TestConversions:
         system = SetSystem.from_bipartite_graph([[1, 2], [2, 3], []])
         assert system.m == 3
         assert system.coverage([0, 1]) == 3
+
+
+def _assert_same_system(a, b):
+    assert (a.m, a.n) == (b.m, b.n)
+    assert [a.set_contents(j) for j in range(a.m)] == [
+        b.set_contents(j) for j in range(b.m)
+    ]
+
+
+class TestFromArrays:
+    """The array builder is ``from_edges`` on parallel columns."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "m,n", [(None, None), (12, None), (None, 40), (15, 50)]
+    )
+    def test_equals_from_edges(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(0, 60))
+        set_ids = rng.integers(0, 10, length)
+        elements = rng.integers(0, 30, length)  # duplicates included
+        edges = list(zip(set_ids.tolist(), elements.tolist()))
+        _assert_same_system(
+            SetSystem.from_arrays(set_ids, elements, m=m, n=n),
+            SetSystem.from_edges(edges, m=m, n=n),
+        )
+
+    def test_roundtrip_and_gaps(self, tiny_system):
+        set_ids, elements = np.asarray(tiny_system.edges()).T
+        _assert_same_system(
+            SetSystem.from_arrays(set_ids, elements, n=tiny_system.n),
+            tiny_system,
+        )
+        gaps = SetSystem.from_arrays([0, 3], [1, 2], m=5)
+        _assert_same_system(gaps, SetSystem.from_edges([(0, 1), (3, 2)], m=5))
+
+    def test_empty(self):
+        _assert_same_system(
+            SetSystem.from_arrays([], []), SetSystem.from_edges([])
+        )
+        _assert_same_system(
+            SetSystem.from_arrays([], [], m=3, n=4),
+            SetSystem.from_edges([], m=3, n=4),
+        )
+
+    @pytest.mark.parametrize(
+        "edges,kwargs",
+        [
+            ([(2, 0), (-1, 0), (-4, 1)], {}),  # negative set id
+            ([(5, 0)], {"m": 3}),  # m too small
+            ([(0, 2), (1, -3)], {}),  # negative element
+            ([(0, 1), (0, 10)], {"n": 5}),  # n too small
+            ([(-1, -1)], {"m": 0, "n": 0}),  # set id checked first
+            ([(5, -1)], {"m": 2}),  # then m, before elements
+            ([(0, -1)], {"n": 0}),  # then elements, before n
+        ],
+    )
+    def test_same_errors_as_from_edges(self, edges, kwargs):
+        with pytest.raises(ValueError) as expected:
+            SetSystem.from_edges(edges, **kwargs)
+        set_ids, elements = np.asarray(edges).T
+        with pytest.raises(ValueError) as actual:
+            SetSystem.from_arrays(set_ids, elements, **kwargs)
+        assert str(actual.value) == str(expected.value)
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="length"):
+            SetSystem.from_arrays([0, 1], [0])
 
 
 class TestRestriction:
